@@ -32,13 +32,15 @@
 //! assert_eq!(r.tags, 0);
 //! ```
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use hwprof_profiler::{RawRecord, SupervisedRun};
 use hwprof_tagfile::TagFile;
 use hwprof_telemetry::{Registry, SpanLog};
 
 use crate::columnar::{ColumnarDecoder, DenseTagTable};
 use crate::events::{Event, Symbols};
-use crate::export::Exporter;
 use crate::recon::{Reconstruction, SessionRecon};
 use crate::stream::StreamAnalyzer;
 
@@ -195,45 +197,37 @@ impl Analyzer {
         }
     }
 
-    /// Delegating wrapper over [`Analyzer::profile`] for callers that
-    /// want the raw [`Exporter`] builder; prefer `profile()`.
-    pub fn export<'r>(&self, r: &'r Reconstruction) -> Exporter<'r> {
-        self.profile(r).exporter()
-    }
-
     /// The base fold every flavour goes through: sessions reconstructed
     /// in isolation, accumulated in order into one result.  A single
     /// arena-backed [`SessionRecon`] serves every session, so the loop
     /// allocates no per-session state (bit-identical to building and
     /// merging per-session `Reconstruction`s — the monoid argument).
-    fn fold<I>(&self, sessions: I) -> Reconstruction
-    where
-        I: IntoIterator,
-        I::Item: AsRef<[Event]>,
-    {
+    /// Each session is a range of `buf`, which the result's timeline
+    /// keeps a share of.
+    fn fold(&self, buf: &Arc<Vec<Event>>, spans: &[Range<usize>]) -> Reconstruction {
         let mut out = Reconstruction::empty(self.syms.clone());
         let mut recon = SessionRecon::new(&self.syms, self.recovering);
-        for s in sessions {
-            recon.session_into(s.as_ref(), &mut out);
+        for span in spans {
+            recon.session_span(buf, span.clone(), &mut out);
         }
         out
     }
 
     /// The fold fanned out across the configured workers: contiguous
-    /// session blocks, block results merged in order.  The trace
-    /// concatenation is a large share of total analysis cost, so
-    /// block-local folds parallelize it along with the reconstruction,
-    /// leaving only `workers - 1` merges on the calling thread.
-    fn fan_out(&self, sessions: &[Vec<Event>]) -> Reconstruction {
-        let workers = self.workers.min(sessions.len().max(1));
+    /// session blocks, block results merged in order.  A merge adds up
+    /// the aggregates and concatenates the blocks' kept sessions, so
+    /// the calling thread's `workers - 1` merges cost O(functions +
+    /// edges + sessions), independent of the event count.
+    fn fan_out(&self, buf: &Arc<Vec<Event>>, spans: &[Range<usize>]) -> Reconstruction {
+        let workers = self.workers.min(spans.len().max(1));
         if workers <= 1 {
-            return self.fold(sessions);
+            return self.fold(buf, spans);
         }
-        let chunk = sessions.len().div_ceil(workers);
+        let chunk = spans.len().div_ceil(workers);
         let parts: Vec<Reconstruction> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sessions
+            let handles: Vec<_> = spans
                 .chunks(chunk)
-                .map(|block| scope.spawn(move || self.fold(block)))
+                .map(|block| scope.spawn(move || self.fold(buf, block)))
                 .collect();
             handles
                 .into_iter()
@@ -244,7 +238,6 @@ impl Analyzer {
                 .collect()
         });
         let mut out = Reconstruction::empty(self.syms.clone());
-        out.trace.reserve(parts.iter().map(|r| r.trace.len()).sum());
         for r in parts {
             out.merge(r);
         }
@@ -274,43 +267,51 @@ impl Analyzer {
     }
 
     /// Decodes one raw bank in the configured mode through a shared
-    /// columnar decoder (decode-level anomalies folded into the events'
-    /// reconstruction by the caller).  The decoder's scratch columns
-    /// persist across banks; only its session state resets.
+    /// columnar decoder, appending its events to `out` and returning
+    /// its decode-level anomalies (folded into the reconstruction by the
+    /// caller).  The decoder's scratch columns persist across banks;
+    /// only its session state resets.
     fn decode_bank(
         &self,
         decoder: &mut ColumnarDecoder<'_>,
         records: &[RawRecord],
-    ) -> (Vec<Event>, crate::Anomalies) {
+        out: &mut Vec<Event>,
+    ) -> crate::Anomalies {
         decoder.reset();
-        let mut events = Vec::new();
         if self.recovering {
-            decoder.extend_recovering(records, &mut events);
+            decoder.extend_recovering(records, out);
         } else {
-            decoder.extend(records, &mut events);
+            decoder.extend(records, out);
         }
-        (events, decoder.anomalies())
+        decoder.anomalies()
     }
 
     /// Analyzes one decoded capture session.
     pub fn session(&self, events: &[Event]) -> Result<Reconstruction, AnalyzerError> {
-        self.gate(self.fold([events]))
+        let (buf, spans) = concat(&[events]);
+        self.gate(self.fold(&buf, &spans))
     }
 
     /// Analyzes several capture sessions (merged in slice order), fanned
     /// out across the configured workers.
     pub fn sessions(&self, sessions: &[Vec<Event>]) -> Result<Reconstruction, AnalyzerError> {
-        self.gate(self.fan_out(sessions))
+        let (buf, spans) = concat(sessions);
+        self.gate(self.fan_out(&buf, &spans))
     }
 
     /// Analyzes an iterator of capture sessions, folded sequentially in
-    /// iteration order.
+    /// iteration order, one session in hand at a time.
     pub fn sessions_iter<I>(&self, sessions: I) -> Result<Reconstruction, AnalyzerError>
     where
         I: IntoIterator,
         I::Item: AsRef<[Event]>,
     {
-        self.gate(self.fold(sessions))
+        let mut out = Reconstruction::empty(self.syms.clone());
+        let mut recon = SessionRecon::new(&self.syms, self.recovering);
+        for s in sessions {
+            recon.session_into(s.as_ref(), &mut out);
+        }
+        self.gate(out)
     }
 
     /// Decodes and analyzes one uploaded RAM image as a single session.
@@ -331,17 +332,12 @@ impl Analyzer {
         let mut decoder = ColumnarDecoder::new(&table);
         let mut recon = SessionRecon::new(&self.syms, self.recovering);
         let mut out = Reconstruction::empty(self.syms.clone());
-        let mut events = Vec::new();
         for bank in banks {
-            decoder.reset();
-            events.clear();
-            if self.recovering {
-                decoder.extend_recovering(bank.as_ref(), &mut events);
-            } else {
-                decoder.extend(bank.as_ref(), &mut events);
-            }
-            recon.session_into(&events, &mut out);
-            out.note(&decoder.anomalies());
+            let bank = bank.as_ref();
+            let mut events = Vec::with_capacity(bank.len());
+            let anomalies = self.decode_bank(&mut decoder, bank, &mut events);
+            recon.session_shared(Arc::new(events), &mut out);
+            out.note(&anomalies);
         }
         self.gate(out)
     }
@@ -357,16 +353,15 @@ impl Analyzer {
         let table = self.dense_table()?;
         let mut decoder = ColumnarDecoder::new(&table);
         let mut decode_anoms = crate::Anomalies::default();
-        let sessions: Vec<Vec<Event>> = run
-            .sessions
-            .iter()
-            .map(|s| {
-                let (events, anoms) = self.decode_bank(&mut decoder, &s.records);
-                decode_anoms.merge(&anoms);
-                events
-            })
-            .collect();
-        let mut out = self.fan_out(&sessions);
+        // Every bank decodes straight into one buffer the result keeps.
+        let mut buf = Vec::with_capacity(run.sessions.iter().map(|s| s.records.len()).sum());
+        let mut spans = Vec::with_capacity(run.sessions.len());
+        for s in &run.sessions {
+            let start = buf.len();
+            decode_anoms.merge(&self.decode_bank(&mut decoder, &s.records, &mut buf));
+            spans.push(start..buf.len());
+        }
+        let mut out = self.fan_out(&Arc::new(buf), &spans);
         out.note(&decode_anoms);
         out.note_coverage(&run.coverage);
         self.gate(out)
@@ -402,6 +397,22 @@ impl Analyzer {
         out.note_coverage(&run.coverage);
         self.gate(out)
     }
+}
+
+/// Lays borrowed sessions end to end in one buffer, the one copy a
+/// result's timeline keeps (one allocation, not one per session), and
+/// returns each session's range in it.
+fn concat<S: AsRef<[Event]>>(sessions: &[S]) -> (Arc<Vec<Event>>, Vec<Range<usize>>) {
+    let mut buf = Vec::with_capacity(sessions.iter().map(|s| s.as_ref().len()).sum());
+    let spans = sessions
+        .iter()
+        .map(|s| {
+            let start = buf.len();
+            buf.extend_from_slice(s.as_ref());
+            start..buf.len()
+        })
+        .collect();
+    (Arc::new(buf), spans)
 }
 
 #[cfg(test)]

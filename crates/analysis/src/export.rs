@@ -129,7 +129,7 @@ impl<'a> Exporter<'a> {
     fn lanes(&self) -> BTreeMap<(usize, u32), Vec<&'a TraceItem>> {
         let mut lanes: BTreeMap<(usize, u32), Vec<&TraceItem>> = BTreeMap::new();
         let mut session = 0usize;
-        for item in &self.r.trace {
+        for item in self.r.timeline() {
             if matches!(item.kind, ItemKind::SessionBreak) {
                 session += 1;
                 continue;
@@ -166,7 +166,7 @@ impl<'a> Exporter<'a> {
         }
         let _ = base;
         self.r
-            .trace
+            .timeline()
             .iter()
             .map(|it| match it.kind {
                 ItemKind::Call { elapsed, .. } => it.t + elapsed,

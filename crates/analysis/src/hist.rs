@@ -30,7 +30,7 @@ pub fn histogram(r: &Reconstruction, name: &str, max_bound: u64) -> Option<Histo
     }
     let mut counts = vec![0u64; bounds.len() + 1];
     let mut n = 0u64;
-    for item in &r.trace {
+    for item in r.timeline() {
         if let ItemKind::Call {
             sym: s,
             net,

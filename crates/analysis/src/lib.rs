@@ -49,6 +49,7 @@ pub use export::{validate_json, Exporter, JsonValue};
 pub use profile::Profile;
 pub use recon::{
     reconstruct_session, reconstruct_session_recovering, FnAgg, Reconstruction, SessionRecon,
+    Timeline, TraceItem,
 };
 pub use recorder::{DiffRow, FlightRecorder, RecorderLedger, WindowDiff, WindowRollup};
 pub use report::{fmt_us, summary_report};

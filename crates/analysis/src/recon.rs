@@ -9,6 +9,17 @@
 //! suspended stack resumed by looking ahead for the first unmatched
 //! function exit (the resumed process must unwind through the function
 //! that called `swtch`).
+//!
+//! The paper's two reports need different things.  The Fig. 3 summary
+//! is a per-function aggregate; the Fig. 4 code-path trace is a
+//! separate pass.  [`Reconstruction`] is the aggregate only.  Its
+//! [`Timeline`] keeps the decoded events each session was folded from,
+//! and [`Reconstruction::timeline`] replays them into trace items the
+//! first time a renderer asks.  The summary, the streaming pipeline,
+//! the flight recorder, the sentinel and the fleet never build a trace.
+
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::anomaly::Anomalies;
 use crate::events::{EvKind, Event, SymId, Symbols};
@@ -116,6 +127,7 @@ struct Frame {
     sym: SymId,
     entered: u64,
     child: u64,
+    /// Index of the frame's call item (traced form only).
     item: usize,
     children: u32,
     spans_switch: bool,
@@ -129,7 +141,8 @@ struct PStack {
     lane: u32,
 }
 
-/// The full result of reconstruction.
+/// The result of reconstruction: the per-function aggregate plus the
+/// [`Timeline`] the code-path trace is replayed from.
 ///
 /// `Reconstruction` is a monoid: [`Reconstruction::empty`] is the
 /// identity and [`Reconstruction::merge`] combines per-session results
@@ -138,7 +151,10 @@ struct PStack {
 /// the streaming analyzer fan sessions out across worker threads — and
 /// what lets a fleet aggregator fold per-machine reconstructions into
 /// one fleet-wide profile.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two reconstructions are equal when every aggregate and every
+/// materialized trace item is equal.
+#[derive(Debug, Clone)]
 pub struct Reconstruction {
     /// Symbol table used.
     pub syms: Symbols,
@@ -162,8 +178,10 @@ pub struct Reconstruction {
     pub open_at_end: u64,
     /// Threads of control first seen at a `swtch` exit.
     pub births: u64,
-    /// Trace elements (across all sessions, with breaks).
-    pub trace: Vec<TraceItem>,
+    /// The code-path timeline: each session's kept events and the
+    /// exact item count.  Read the items with
+    /// [`Reconstruction::timeline`].
+    pub trace: Timeline,
     /// Call-graph edges: (caller, callee) -> completed calls.
     pub edges: std::collections::HashMap<(SymId, SymId), u64>,
     /// Number of capture sessions analyzed.
@@ -195,7 +213,7 @@ impl Reconstruction {
             unknown_tags: 0,
             open_at_end: 0,
             births: 0,
-            trace: Vec::new(),
+            trace: Timeline::default(),
             edges: std::collections::HashMap::new(),
             sessions: 0,
             anomalies: Anomalies::default(),
@@ -205,10 +223,12 @@ impl Reconstruction {
 
     /// Folds `other` (the next sessions in order) into `self`.
     ///
-    /// Every aggregate is a per-session sum/max/min and the trace is a
-    /// concatenation, so `empty ∘ merge` over per-session results is
-    /// bit-identical to one sequential pass: reconstruction state
-    /// (stacks, idle windows) never crosses a session boundary.
+    /// Every aggregate is a per-session sum/max/min and the timeline is
+    /// a concatenation of kept sessions, so `empty ∘ merge` over
+    /// per-session results is bit-identical to one sequential pass:
+    /// reconstruction state (stacks, idle windows) never crosses a
+    /// session boundary.  The timeline merges in O(sessions); no trace
+    /// item is built or copied.
     pub fn merge(&mut self, other: Reconstruction) {
         debug_assert_eq!(self.syms.len(), other.syms.len(), "same tag file");
         for (a, b) in self.stats.iter_mut().zip(&other.stats) {
@@ -223,7 +243,7 @@ impl Reconstruction {
         self.unknown_tags += other.unknown_tags;
         self.open_at_end += other.open_at_end;
         self.births += other.births;
-        self.trace.extend(other.trace);
+        self.trace.append(other.trace);
         for (k, v) in other.edges {
             *self.edges.entry(k).or_insert(0) += v;
         }
@@ -244,6 +264,18 @@ impl Reconstruction {
     /// [`Reconstruction::note`] folds anomalies.
     pub fn note_coverage(&mut self, c: &Coverage) {
         self.coverage.merge(c);
+    }
+
+    /// The code-path trace: every call, return, inline hit, switch and
+    /// session break, across all sessions in order.  The first call
+    /// replays the kept events through a traced [`SessionRecon`] and
+    /// caches the items; later calls return the cache.  The replay is
+    /// exact because reconstruction state never crosses a session
+    /// boundary.
+    pub fn timeline(&self) -> &[TraceItem] {
+        self.trace
+            .cache
+            .get_or_init(|| self.trace.replay(&self.syms))
     }
 
     /// Accumulated non-idle µs.
@@ -279,6 +311,144 @@ impl Reconstruction {
     }
 }
 
+impl PartialEq for Reconstruction {
+    fn eq(&self, other: &Self) -> bool {
+        // Exhaustive destructuring: a new field must be compared here.
+        let Reconstruction {
+            syms,
+            stats,
+            total_elapsed,
+            idle,
+            tags,
+            context_switches,
+            swtch_calls,
+            unmatched_exits,
+            unknown_tags,
+            open_at_end,
+            births,
+            trace,
+            edges,
+            sessions,
+            anomalies,
+            coverage,
+        } = self;
+        *syms == other.syms
+            && *stats == other.stats
+            && *total_elapsed == other.total_elapsed
+            && *idle == other.idle
+            && *tags == other.tags
+            && *context_switches == other.context_switches
+            && *swtch_calls == other.swtch_calls
+            && *unmatched_exits == other.unmatched_exits
+            && *unknown_tags == other.unknown_tags
+            && *open_at_end == other.open_at_end
+            && *births == other.births
+            && *edges == other.edges
+            && *sessions == other.sessions
+            && *anomalies == other.anomalies
+            && *coverage == other.coverage
+            && trace.len() == other.trace.len()
+            // Same symbols and same kept events replay to the same
+            // items; only differing events need the replay.
+            && (trace.same_events(&other.trace) || self.timeline() == other.timeline())
+    }
+}
+
+/// The code-path timeline behind a [`Reconstruction`], kept as the
+/// decoded events it is replayed from.
+///
+/// Each session's events are a range of a shared buffer
+/// (`Arc<Vec<Event>>`), so merging two timelines concatenates pointers
+/// and cloning one copies no event.
+/// The exact item count is kept by the aggregate pass, so
+/// [`len`](Timeline::len) never replays.  The items themselves are
+/// built by [`Reconstruction::timeline`], once, for the renderers that
+/// read them: the Fig. 4 trace report, the chrome-trace, speedscope
+/// and folded exports, and the per-call histogram.
+#[derive(Clone, Default)]
+pub struct Timeline {
+    /// The kept sessions, in order.
+    sessions: Vec<Kept>,
+    /// Trace items the sessions replay to.
+    items: usize,
+    /// The replayed items, built on first read.
+    cache: OnceLock<Vec<TraceItem>>,
+}
+
+impl Timeline {
+    /// Trace items across all sessions, session breaks included.
+    pub fn len(&self) -> usize {
+        self.items
+    }
+
+    /// Whether the timeline holds no item (no session was kept).
+    pub fn is_empty(&self) -> bool {
+        self.items == 0
+    }
+
+    /// Keeps one folded session for replay.
+    fn keep(&mut self, kept: Kept) {
+        self.sessions.push(kept);
+        self.cache = OnceLock::new();
+    }
+
+    /// Appends the next sessions in order.
+    fn append(&mut self, other: Timeline) {
+        self.sessions.extend(other.sessions);
+        self.items += other.items;
+        self.cache = OnceLock::new();
+    }
+
+    /// Whether both timelines kept the same events in the same modes.
+    fn same_events(&self, other: &Timeline) -> bool {
+        self.sessions.len() == other.sessions.len()
+            && self.sessions.iter().zip(&other.sessions).all(|(a, b)| {
+                a.recover == b.recover
+                    && ((Arc::ptr_eq(&a.buf, &b.buf) && a.range == b.range)
+                        || a.events() == b.events())
+            })
+    }
+
+    /// Replays every kept session through one traced reconstructor.
+    /// The aggregate it builds on the side is discarded.
+    fn replay(&self, syms: &Symbols) -> Vec<TraceItem> {
+        let mut recon = SessionRecon::traced(syms, false);
+        recon.items.reserve_exact(self.items);
+        let mut scratch = Reconstruction::empty(syms.clone());
+        for kept in &self.sessions {
+            recon.recover = kept.recover;
+            recon.fold(kept.events(), &mut scratch);
+        }
+        debug_assert_eq!(recon.items.len(), self.items, "kept count is exact");
+        recon.items
+    }
+}
+
+/// One kept session: its decoded events, a range of a buffer shared
+/// with other sessions, and whether it reconstructed in recovery mode.
+#[derive(Clone)]
+struct Kept {
+    buf: Arc<Vec<Event>>,
+    range: Range<usize>,
+    recover: bool,
+}
+
+impl Kept {
+    fn events(&self) -> &[Event] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl std::fmt::Debug for Timeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Timeline")
+            .field("sessions", &self.sessions.len())
+            .field("items", &self.items)
+            .field("replayed", &self.cache.get().is_some())
+            .finish()
+    }
+}
+
 /// The reusable session reconstructor — the arena of the hot path.
 ///
 /// Reconstruction used to build a throwaway machine per session: two
@@ -290,14 +460,21 @@ impl Reconstruction {
 ///
 /// * results accumulate **directly into a shared [`Reconstruction`]**
 ///   ([`session_into`](SessionRecon::session_into)) — bit-identical to
-///   merging per-session results, since every field is a sum, min, max
-///   or concatenation (the monoid argument), with zero intermediate
-///   allocation;
+///   merging per-session results, since every aggregate is a sum, min
+///   or max and the timeline is a concatenation of kept sessions (the
+///   monoid argument), with zero intermediate allocation;
 /// * frame stacks come from an internal **free pool**: a stack retired
 ///   at a context switch or session end keeps its capacity and is
 ///   handed to the next birth, so steady-state reconstruction performs
 ///   no frame allocation at all.
-pub struct SessionRecon<'a> {
+///
+/// `TRACE` selects the form.  The aggregate form
+/// ([`SessionRecon::new`]) only counts trace items; every item push
+/// and call-item patch compiles away.  The traced form
+/// ([`SessionRecon::traced`]) also builds the items, in its own buffer
+/// ([`items`](SessionRecon::items)); [`Reconstruction::timeline`]
+/// replays kept sessions through it.
+pub struct SessionRecon<'a, const TRACE: bool = false> {
     syms: &'a Symbols,
     recover: bool,
     active: PStack,
@@ -309,6 +486,9 @@ pub struct SessionRecon<'a> {
     in_switch: bool,
     switch_start: u64,
     intr_in_switch: u64,
+    /// Trace items built so far (traced form only; always empty in the
+    /// aggregate form).
+    items: Vec<TraceItem>,
 }
 
 /// Outcome of the forward scan after a `swtch` exit.
@@ -348,10 +528,29 @@ fn identify_resume(events: &[Event], syms: &Symbols) -> ResumeId {
 }
 
 impl<'a> SessionRecon<'a> {
-    /// A fresh reconstructor over `syms`; `recover` selects the
-    /// resynchronizing mode (see
+    /// A fresh aggregate-only reconstructor over `syms`; `recover`
+    /// selects the resynchronizing mode (see
     /// [`reconstruct_session_recovering`]).
     pub fn new(syms: &'a Symbols, recover: bool) -> Self {
+        Self::with_mode(syms, recover)
+    }
+}
+
+impl<'a> SessionRecon<'a, true> {
+    /// A fresh reconstructor that also builds the trace items of every
+    /// session it folds, in fold order.
+    pub fn traced(syms: &'a Symbols, recover: bool) -> Self {
+        Self::with_mode(syms, recover)
+    }
+
+    /// The trace items of every session folded so far.
+    pub fn items(&self) -> &[TraceItem] {
+        &self.items
+    }
+}
+
+impl<'a, const TRACE: bool> SessionRecon<'a, TRACE> {
+    fn with_mode(syms: &'a Symbols, recover: bool) -> Self {
         SessionRecon {
             syms,
             recover,
@@ -362,6 +561,16 @@ impl<'a> SessionRecon<'a> {
             in_switch: false,
             switch_start: 0,
             intr_in_switch: 0,
+            items: Vec::new(),
+        }
+    }
+
+    /// Counts one trace item and, in the traced form, builds it.
+    #[inline(always)]
+    fn emit(&mut self, out: &mut Reconstruction, item: TraceItem) {
+        out.trace.items += 1;
+        if TRACE {
+            self.items.push(item);
         }
     }
 
@@ -377,20 +586,23 @@ impl<'a> SessionRecon<'a> {
 
     fn push(&mut self, out: &mut Reconstruction, sym: SymId, t: u64, is_cswitch: bool) {
         let depth = self.active.frames.len();
-        let item = out.trace.len();
-        out.trace.push(TraceItem {
-            t,
-            depth,
-            lane: self.active.lane,
-            kind: ItemKind::Call {
-                sym,
-                net: 0,
-                elapsed: 0,
-                children: 0,
-                spans_switch: false,
-                closed: false,
+        let item = self.items.len();
+        self.emit(
+            out,
+            TraceItem {
+                t,
+                depth,
+                lane: self.active.lane,
+                kind: ItemKind::Call {
+                    sym,
+                    net: 0,
+                    elapsed: 0,
+                    children: 0,
+                    spans_switch: false,
+                    closed: false,
+                },
             },
-        });
+        );
         self.active.frames.push(Frame {
             sym,
             entered: t,
@@ -431,20 +643,22 @@ impl<'a> SessionRecon<'a> {
                 self.intr_in_switch += elapsed;
             }
         }
-        if let ItemKind::Call {
-            net: n,
-            elapsed: e,
-            children,
-            spans_switch,
-            closed,
-            ..
-        } = &mut out.trace[f.item].kind
-        {
-            *n = net;
-            *e = elapsed;
-            *children = f.children;
-            *spans_switch = f.spans_switch;
-            *closed = true;
+        if TRACE {
+            if let ItemKind::Call {
+                net: n,
+                elapsed: e,
+                children,
+                spans_switch,
+                closed,
+                ..
+            } = &mut self.items[f.item].kind
+            {
+                *n = net;
+                *e = elapsed;
+                *children = f.children;
+                *spans_switch = f.spans_switch;
+                *closed = true;
+            }
         }
         // Call-graph edge.
         if let Some(parent) = self.active.frames.last() {
@@ -454,16 +668,19 @@ impl<'a> SessionRecon<'a> {
         // close visually: switch spanners (named, with times) and
         // non-leaf frames (bare).
         if !f.is_cswitch && (f.spans_switch || f.children > 0) {
-            out.trace.push(TraceItem {
-                t,
-                depth: self.active.frames.len(),
-                lane: self.active.lane,
-                kind: ItemKind::Return {
-                    sym: if f.spans_switch { Some(f.sym) } else { None },
-                    net,
-                    elapsed,
+            self.emit(
+                out,
+                TraceItem {
+                    t,
+                    depth: self.active.frames.len(),
+                    lane: self.active.lane,
+                    kind: ItemKind::Return {
+                        sym: if f.spans_switch { Some(f.sym) } else { None },
+                        net,
+                        elapsed,
+                    },
                 },
-            });
+            );
         }
         f
     }
@@ -516,16 +733,19 @@ impl<'a> SessionRecon<'a> {
         let depth_for_item = |frames: &PStack| frames.frames.len().saturating_sub(1);
         match choice {
             Choice::Active => {
-                out.trace.push(TraceItem {
-                    t,
-                    depth: depth_for_item(&self.active),
-                    lane: self.active.lane,
-                    kind: ItemKind::Return {
-                        sym: self.active.frames.last().map(|f| f.sym),
-                        net: 0,
-                        elapsed: 0,
+                self.emit(
+                    out,
+                    TraceItem {
+                        t,
+                        depth: depth_for_item(&self.active),
+                        lane: self.active.lane,
+                        kind: ItemKind::Return {
+                            sym: self.active.frames.last().map(|f| f.sym),
+                            net: 0,
+                            elapsed: 0,
+                        },
                     },
-                });
+                );
                 self.pop(out, t);
             }
             Choice::Suspended(i) => {
@@ -538,22 +758,28 @@ impl<'a> SessionRecon<'a> {
                 for f in &mut self.active.frames {
                     f.spans_switch = true;
                 }
-                out.trace.push(TraceItem {
-                    t,
-                    depth: 0,
-                    lane: self.active.lane,
-                    kind: ItemKind::SwitchIn { birth: false },
-                });
-                out.trace.push(TraceItem {
-                    t,
-                    depth: depth_for_item(&self.active),
-                    lane: self.active.lane,
-                    kind: ItemKind::Return {
-                        sym: self.active.frames.last().map(|f| f.sym),
-                        net: 0,
-                        elapsed: 0,
+                self.emit(
+                    out,
+                    TraceItem {
+                        t,
+                        depth: 0,
+                        lane: self.active.lane,
+                        kind: ItemKind::SwitchIn { birth: false },
                     },
-                });
+                );
+                self.emit(
+                    out,
+                    TraceItem {
+                        t,
+                        depth: depth_for_item(&self.active),
+                        lane: self.active.lane,
+                        kind: ItemKind::Return {
+                            sym: self.active.frames.last().map(|f| f.sym),
+                            net: 0,
+                            elapsed: 0,
+                        },
+                    },
+                );
                 self.pop(out, t);
             }
             Choice::Birth => {
@@ -574,12 +800,15 @@ impl<'a> SessionRecon<'a> {
                 self.next_lane += 1;
                 out.context_switches += 1;
                 out.births += 1;
-                out.trace.push(TraceItem {
-                    t,
-                    depth: 0,
-                    lane: self.active.lane,
-                    kind: ItemKind::SwitchIn { birth: true },
-                });
+                self.emit(
+                    out,
+                    TraceItem {
+                        t,
+                        depth: 0,
+                        lane: self.active.lane,
+                        kind: ItemKind::SwitchIn { birth: true },
+                    },
+                );
             }
         }
     }
@@ -587,12 +816,47 @@ impl<'a> SessionRecon<'a> {
     /// Reconstructs one capture session, accumulating the result
     /// directly into `out` — exactly what
     /// `out.merge(reconstruct_session(syms, events))` would produce,
-    /// without building the intermediate `Reconstruction` (every field
-    /// is a sum, min, max or concatenation, so direct accumulation and
-    /// merge-of-parts are the same fold).  Reconstruction state never
-    /// crosses a session boundary; the frame pool does, which is the
-    /// point.
+    /// without building the intermediate `Reconstruction` (every
+    /// aggregate is a sum, min or max and the timeline a concatenation,
+    /// so direct accumulation and merge-of-parts are the same fold).
+    /// Reconstruction state never crosses a session boundary; the frame
+    /// pool does, which is the point.
+    ///
+    /// The events are copied once into `out`'s [`Timeline`]; a caller
+    /// that owns them uses
+    /// [`session_shared`](SessionRecon::session_shared) instead.
     pub fn session_into(&mut self, events: &[Event], out: &mut Reconstruction) {
+        self.session_shared(Arc::new(events.to_vec()), out);
+    }
+
+    /// [`session_into`](SessionRecon::session_into) for events handed
+    /// over shared: `out`'s [`Timeline`] keeps this `Arc`, no copy.
+    pub fn session_shared(&mut self, events: Arc<Vec<Event>>, out: &mut Reconstruction) {
+        let range = 0..events.len();
+        self.session_span(&events, range, out);
+    }
+
+    /// Reconstructs the session `buf[range]`; `out`'s [`Timeline`]
+    /// keeps a share of `buf`.  Folds that copy many borrowed sessions
+    /// copy them into one buffer: one allocation instead of one per
+    /// session.
+    pub(crate) fn session_span(
+        &mut self,
+        buf: &Arc<Vec<Event>>,
+        range: Range<usize>,
+        out: &mut Reconstruction,
+    ) {
+        self.fold(&buf[range.clone()], out);
+        out.trace.keep(Kept {
+            buf: Arc::clone(buf),
+            range,
+            recover: self.recover,
+        });
+    }
+
+    /// The session fold itself: aggregates into `out`, counts trace
+    /// items there and, in the traced form, builds them.
+    fn fold(&mut self, events: &[Event], out: &mut Reconstruction) {
         debug_assert_eq!(self.syms.len(), out.syms.len(), "same tag file");
         out.sessions += 1;
         out.tags += events.len();
@@ -653,12 +917,15 @@ impl<'a> SessionRecon<'a> {
                 }
                 EvKind::Inline(sym) => {
                     out.stats[sym as usize].inline_hits += 1;
-                    out.trace.push(TraceItem {
-                        t: ev.t,
-                        depth: self.active.frames.len(),
-                        lane: self.active.lane,
-                        kind: ItemKind::Inline { sym },
-                    });
+                    self.emit(
+                        out,
+                        TraceItem {
+                            t: ev.t,
+                            depth: self.active.frames.len(),
+                            lane: self.active.lane,
+                            kind: ItemKind::Inline { sym },
+                        },
+                    );
                 }
                 EvKind::Unknown(_) => {
                     out.unknown_tags += 1;
@@ -681,12 +948,15 @@ impl<'a> SessionRecon<'a> {
         }
         self.next_lane = 1;
         self.in_switch = false;
-        out.trace.push(TraceItem {
-            t: events.last().map_or(0, |e| e.t),
-            depth: 0,
-            lane: 0,
-            kind: ItemKind::SessionBreak,
-        });
+        self.emit(
+            out,
+            TraceItem {
+                t: events.last().map_or(0, |e| e.t),
+                depth: 0,
+                lane: 0,
+                kind: ItemKind::SessionBreak,
+            },
+        );
     }
 }
 

@@ -43,9 +43,11 @@ use crate::report::fmt_us;
 use crate::stitch::{visible_us, MaskVisibility};
 
 /// One session's events landing in one window, rebased to the window.
+/// Shared with every fold of the window: a rollup's timeline keeps the
+/// fragment itself, never a copy.
 struct Frag {
     session: u64,
-    events: Vec<Event>,
+    events: Arc<Vec<Event>>,
 }
 
 /// One session's covered overlap with one window.
@@ -283,7 +285,7 @@ impl RecorderInner {
                 let slot = self.slot_mut(w);
                 slot.frags.push(Frag {
                     session: s.index,
-                    events: rebased,
+                    events: Arc::new(rebased),
                 });
                 slot.cache = None;
                 frags += 1;
@@ -416,7 +418,7 @@ impl RecorderInner {
         let mut out = Reconstruction::empty(syms.clone());
         let mut recon = SessionRecon::new(syms, false);
         for frag in &slot.frags {
-            recon.session_into(&frag.events, &mut out);
+            recon.session_shared(Arc::clone(&frag.events), &mut out);
         }
         for (_, a) in &slot.anoms {
             out.note(a);

@@ -4,13 +4,18 @@
 //!
 //! The paper carried one battery-backed RAM at a time to the UNIX
 //! host; HMTT-style hybrid tracing shows the capture stream must be
-//! drained and processed online to scale past the RAM.  The pipeline
-//! here is exact, not approximate: each bank is one capture session,
-//! sessions are reconstructed in isolation
-//! ([`crate::recon::reconstruct_session`]) and merged in bank order
-//! with the [`crate::Reconstruction`] monoid, so the result is
-//! bit-identical to a batch [`crate::Analyzer::sessions`] pass over the same
-//! banks.
+//! drained and processed online to scale past the RAM, and that the
+//! online reduction must be cheap.  The pipeline here is exact, not
+//! approximate: each bank is one capture session, sessions are
+//! reconstructed in isolation and merged in bank order with the
+//! [`crate::Reconstruction`] monoid, so the result is bit-identical to a
+//! batch [`crate::Analyzer::sessions`] pass over the same banks.
+//!
+//! Workers build only the aggregate.  Each bank's decoded events are
+//! kept, shared, in the result's [`crate::recon::Timeline`], so the
+//! merge at [`StreamAnalyzer::finish`] is O(banks) and the code-path
+//! trace is replayed only if a renderer asks for it
+//! ([`crate::Reconstruction::timeline`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -181,20 +186,23 @@ impl std::fmt::Debug for BankFeed {
 
 impl BankSink for BankFeed {
     fn bank(&mut self, records: Vec<RawRecord>) -> bool {
+        // Count the bank before a worker can claim it, so the worker's
+        // decrement always follows this increment and the counter never
+        // wraps below zero; a refused bank is uncounted again.
+        self.queued.fetch_add(1, Ordering::Relaxed);
         match self.tx.try_send((self.next, records)) {
             Ok(()) => {
                 self.next += 1;
-                self.queued.fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = &*self.metrics.lock().unwrap_or_else(|e| e.into_inner()) {
-                    // A worker may have claimed (and decremented) this
-                    // bank already, briefly wrapping the counter below
-                    // zero; clamp the gauge rather than racing it.
                     m.queue_depth
-                        .set((self.queued.load(Ordering::Relaxed) as isize).max(0) as u64);
+                        .set(self.queued.load(Ordering::Relaxed) as u64);
                 }
                 true
             }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => false,
+            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                false
+            }
         }
     }
 }
@@ -269,15 +277,13 @@ impl StreamAnalyzer {
                     .spawn(move || {
                         let mut done = Vec::new();
                         // Worker-lifetime hot-path state: the columnar
-                        // decoder's scratch columns, the event buffer
-                        // and the reconstructor's frame pool all
-                        // persist across banks — steady state decodes
-                        // and reconstructs without touching the
-                        // allocator (only the per-bank result vectors
-                        // grow).
+                        // decoder's scratch columns and the
+                        // reconstructor's frame pool persist across
+                        // banks.  Per bank, only the result's aggregate
+                        // and the decoded events are allocated; the
+                        // events move into the result's timeline.
                         let mut decoder = ColumnarDecoder::new(&table);
                         let mut recon = SessionRecon::new(&syms, matches!(mode, Mode::Recovering));
-                        let mut events: Vec<Event> = Vec::new();
                         loop {
                             // Hold the receiver lock only to claim the
                             // next bank, never while analyzing it.
@@ -291,22 +297,20 @@ impl StreamAnalyzer {
                             queued.fetch_sub(1, Ordering::Relaxed);
                             let live = metrics.lock().unwrap_or_else(|e| e.into_inner()).clone();
                             if let Some(m) = &live {
-                                m.queue_depth
-                                    .set((queued.load(Ordering::Relaxed) as isize).max(0) as u64);
+                                m.queue_depth.set(queued.load(Ordering::Relaxed) as u64);
                             }
                             decoder.reset();
-                            events.clear();
-                            let mut r = Reconstruction::empty(syms.clone());
+                            let mut events: Vec<Event> = Vec::with_capacity(bank.len());
                             match mode {
-                                Mode::Strict => {
-                                    decoder.extend(&bank, &mut events);
-                                    recon.session_into(&events, &mut r);
-                                }
-                                Mode::Recovering => {
-                                    decoder.extend_recovering(&bank, &mut events);
-                                    recon.session_into(&events, &mut r);
-                                    r.note(&decoder.anomalies());
-                                }
+                                Mode::Strict => decoder.extend(&bank, &mut events),
+                                Mode::Recovering => decoder.extend_recovering(&bank, &mut events),
+                            }
+                            drop(bank);
+                            let events = Arc::new(events);
+                            let mut r = Reconstruction::empty(syms.clone());
+                            recon.session_shared(Arc::clone(&events), &mut r);
+                            if mode == Mode::Recovering {
+                                r.note(&decoder.anomalies());
                             }
                             if let Some(m) = &live {
                                 m.note_bank(events.len() as u64, &r.anomalies);
@@ -420,8 +424,6 @@ impl StreamAnalyzer {
         }
         parts.sort_by_key(|(i, _)| *i);
         let mut out = Reconstruction::empty(self.syms.clone());
-        out.trace
-            .reserve(parts.iter().map(|(_, r)| r.trace.len()).sum());
         for (_, r) in parts {
             out.merge(r);
         }
@@ -530,6 +532,42 @@ mod tests {
         }
         assert_eq!(r.anomalies.duplicates, 1);
         assert_eq!(r.anomalies.unknown_tags, 1);
+    }
+
+    /// The feed counts a bank before handing it over, so a worker's
+    /// decrement can never run first and wrap the counter, and it
+    /// uncounts a refused bank: `backlog()` is exactly the banks queued
+    /// and not yet claimed.  Holding the journal slot parks the only
+    /// worker after its first bank, which fixes the interleaving.
+    #[test]
+    fn backlog_counts_exactly_the_queued_banks() {
+        const BACKLOG: usize = 2;
+        let mut analyzer = StreamAnalyzer::with_backlog(&tagfile(), 1, BACKLOG);
+        let mut feed = analyzer.feed().expect("open");
+        let bank = || {
+            vec![
+                RawRecord { tag: 100, time: 0 },
+                RawRecord { tag: 101, time: 1 },
+            ]
+        };
+        let parked = analyzer.journal.lock().expect("journal slot");
+        assert!(feed.bank(bank()));
+        while analyzer.backlog() != 0 {
+            std::thread::yield_now();
+        }
+        // The worker holds the first bank and waits on the slot.
+        let mut queued = 0;
+        while feed.bank(bank()) {
+            queued += 1;
+        }
+        assert_eq!(queued, BACKLOG);
+        assert!(!feed.bank(bank()));
+        assert_eq!(analyzer.backlog(), BACKLOG, "refused banks are uncounted");
+        drop(parked);
+        drop(feed);
+        let r = analyzer.finish().expect("first finish");
+        assert_eq!(r.sessions, 1 + BACKLOG);
+        assert_eq!(analyzer.backlog(), 0);
     }
 
     #[test]

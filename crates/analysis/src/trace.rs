@@ -46,7 +46,7 @@ pub fn trace_report(r: &Reconstruction, style: &TraceStyle) -> String {
     }
     let mut lines = 0usize;
     let mut suppressed = 0usize;
-    for item in &r.trace {
+    for item in r.timeline() {
         if item.t < style.from_us {
             continue;
         }

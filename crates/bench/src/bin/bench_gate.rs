@@ -14,8 +14,9 @@
 //! * any baseline benchmark's calibration-normalized throughput drops
 //!   more than the noise threshold (15%, `HWPROF_BENCH_GATE_PCT`
 //!   overrides), or vanishes from the fresh run; or
-//! * the machine-independent hard invariant breaks: columnar decode
-//!   must hold >= 3x the scalar oracle within the fresh run itself.
+//! * a machine-independent hard invariant breaks within the fresh run
+//!   itself: columnar decode must hold >= 3x the scalar oracle, and the
+//!   two-worker reconstruction fan-out >= 1.6x the sequential fold.
 //!
 //! Regenerate baselines after an intentional perf change with:
 //!
@@ -42,12 +43,20 @@ const GATED_BENCHES: &[&str] = &[
 
 /// Machine-independent within-run ratios that must hold in the fresh
 /// run: (bench, numerator id, denominator id, minimum ratio).
-const HARD_INVARIANTS: &[(&str, &str, &str, f64)] = &[(
-    "analysis_throughput",
-    "analysis/decode_hot_16k",
-    "analysis/decode_scalar_hot_16k",
-    3.0,
-)];
+const HARD_INVARIANTS: &[(&str, &str, &str, f64)] = &[
+    (
+        "analysis_throughput",
+        "analysis/decode_hot_16k",
+        "analysis/decode_scalar_hot_16k",
+        3.0,
+    ),
+    (
+        "analysis_throughput",
+        "parallel_reconstruction/parallel_1m/2",
+        "parallel_reconstruction/batch_1m",
+        1.6,
+    ),
+];
 
 fn load(dir: &Path, bench: &str) -> Result<BenchDoc, String> {
     let path = dir.join(format!("BENCH_{bench}.json"));

@@ -12,7 +12,9 @@
 //!   mask a real one;
 //! * **hard invariants** — machine-independent ratios measured within
 //!   one run, immune to calibration error: the columnar decoder must
-//!   stay at least 3x the scalar oracle it replaced.
+//!   stay at least 3x the scalar oracle it replaced, and fanning a
+//!   million-event reconstruction across two workers must stay at
+//!   least 1.6x the sequential fold.
 
 use hwprof_analysis::{validate_json, JsonValue};
 use std::collections::BTreeMap;

@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use hwprof::Error;
@@ -158,7 +159,8 @@ struct Slot {
 }
 
 struct DecodedBank {
-    events: Vec<Event>,
+    /// Decoded once, kept shared by the machine's timeline at finish.
+    events: Arc<Vec<Event>>,
     anomalies: Anomalies,
     records: u64,
 }
@@ -167,7 +169,6 @@ fn shard_worker(tagfile: &TagFile, rx: Receiver<ShardFrame>) -> BTreeMap<Machine
     let table = DenseTagTable::from_tagfile(tagfile);
     let syms = Symbols::from_tagfile(tagfile);
     let mut decoder = ColumnarDecoder::new(&table);
-    let mut events: Vec<Event> = Vec::new();
     let mut slots: BTreeMap<MachineId, Slot> = BTreeMap::new();
     for frame in rx {
         let slot = slots.entry(frame.machine).or_insert_with(|| Slot {
@@ -184,12 +185,12 @@ fn shard_worker(tagfile: &TagFile, rx: Receiver<ShardFrame>) -> BTreeMap<Machine
             match parse_raw(&frame.payload) {
                 Ok(records) => {
                     decoder.reset();
-                    events.clear();
+                    let mut events = Vec::with_capacity(records.len());
                     decoder.extend(&records, &mut events);
                     slot.banks.insert(
                         frame.index,
                         DecodedBank {
-                            events: events.clone(),
+                            events: Arc::new(events),
                             anomalies: decoder.anomalies(),
                             records: records.len() as u64,
                         },
@@ -219,8 +220,8 @@ fn shard_worker(tagfile: &TagFile, rx: Receiver<ShardFrame>) -> BTreeMap<Machine
             let mut decode_anomalies = Anomalies::default();
             let mut shards = 0u64;
             let mut records = 0u64;
-            for bank in slot.banks.values() {
-                recon.session_into(&bank.events, &mut profile);
+            for bank in slot.banks.into_values() {
+                recon.session_shared(bank.events, &mut profile);
                 decode_anomalies.merge(&bank.anomalies);
                 shards += 1;
                 records += bank.records;
