@@ -30,7 +30,9 @@
 //! at its own µs-from-session-start times; attaching a run re-bases
 //! every session at its recorded place on the supervised timeline.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use hwprof_profiler::{GapCause, SupervisedRun, TagMaskLevel};
 use hwprof_telemetry::{SpanEvent, SpanLog, SpanName, SpanPhase, SpanTrack};
@@ -50,8 +52,9 @@ const PIPELINE_PID: u64 = 1_000_000;
 pub struct Exporter<'a> {
     r: &'a Reconstruction,
     run: Option<&'a SupervisedRun>,
-    spans: Vec<SpanEvent>,
-    alerts: Vec<AlertEntry>,
+    /// Span journal, already in [`sort_spans`] order.
+    spans: Cow<'a, [SpanEvent]>,
+    alerts: Cow<'a, [AlertEntry]>,
     name: String,
 }
 
@@ -61,8 +64,8 @@ impl<'a> Exporter<'a> {
         Exporter {
             r,
             run: None,
-            spans: Vec::new(),
-            alerts: Vec::new(),
+            spans: Cow::Borrowed(&[]),
+            alerts: Cow::Borrowed(&[]),
             name: "hwprof".to_string(),
         }
     }
@@ -93,17 +96,14 @@ impl<'a> Exporter<'a> {
     /// empty slice leaves every output byte-identical to an exporter
     /// with no alerts attached.
     pub fn alerts(mut self, entries: &[AlertEntry]) -> Self {
-        self.alerts = entries.to_vec();
+        self.alerts = Cow::Owned(entries.to_vec());
         self
     }
 
     /// Like [`Exporter::spans`], from an already-snapshotted event list.
     pub fn span_events(mut self, mut events: Vec<SpanEvent>) -> Self {
-        // Concurrent writers (analysis workers) make the journal's slot
-        // order nondeterministic; a total order on the event value
-        // itself makes every export deterministic.
-        events.sort_by_key(|e| (e.t_us, e.track, e.name, e.id, e.phase, e.arg));
-        self.spans = events;
+        sort_spans(&mut events);
+        self.spans = Cow::Owned(events);
         self
     }
 
@@ -111,32 +111,22 @@ impl<'a> Exporter<'a> {
 
     /// Crate-internal constructor for [`Profile`](crate::Profile), the
     /// one place outside this module allowed to assemble an exporter:
-    /// every other caller goes through the `Profile` surface.
+    /// every other caller goes through the `Profile` surface.  `spans`
+    /// must already be in [`sort_spans`] order.
     pub(crate) fn assemble(
         r: &'a Reconstruction,
         run: Option<&'a SupervisedRun>,
-        spans: Vec<SpanEvent>,
-        alerts: Vec<AlertEntry>,
+        spans: Cow<'a, [SpanEvent]>,
+        alerts: Cow<'a, [AlertEntry]>,
         name: &str,
     ) -> Self {
-        let mut ex = Exporter::new(r).name(name).span_events(spans);
-        ex.run = run;
-        ex.alerts = alerts;
-        ex
-    }
-
-    /// Trace items grouped per (session, lane), in deterministic order.
-    fn lanes(&self) -> BTreeMap<(usize, u32), Vec<&'a TraceItem>> {
-        let mut lanes: BTreeMap<(usize, u32), Vec<&TraceItem>> = BTreeMap::new();
-        let mut session = 0usize;
-        for item in self.r.timeline() {
-            if matches!(item.kind, ItemKind::SessionBreak) {
-                session += 1;
-                continue;
-            }
-            lanes.entry((session, item.lane)).or_default().push(item);
+        Exporter {
+            r,
+            run,
+            spans,
+            alerts,
+            name: name.to_string(),
         }
-        lanes
     }
 
     /// First microsecond of the supervised timeline (the exporter's
@@ -160,11 +150,10 @@ impl<'a> Exporter<'a> {
     }
 
     /// Last microsecond of the export (for counter tracks).
-    fn end_ts(&self, base: u64) -> u64 {
+    fn end_ts(&self) -> u64 {
         if let Some(run) = self.run {
             return run.coverage.timeline_us;
         }
-        let _ = base;
         self.r
             .timeline()
             .iter()
@@ -176,43 +165,65 @@ impl<'a> Exporter<'a> {
             .unwrap_or(0)
     }
 
+    /// Every symbol name JSON-escaped once, indexed by [`SymId`].
+    fn escaped_names(&self) -> Vec<Cow<'a, str>> {
+        let syms = &self.r.syms;
+        (0..syms.len())
+            .map(|i| esc(syms.name(i as SymId)))
+            .collect()
+    }
+
     // ---- Chrome Trace Event JSON ---------------------------------------
 
     /// Chrome Trace Event JSON (object form), loadable in Perfetto or
     /// `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
         let base = self.base();
-        let lanes = self.lanes();
-        let mut ev: Vec<String> = Vec::new();
+        let items = self.r.timeline();
+        let lanes = Lanes::new(items);
+        let names = self.escaped_names();
+        // A begin/end pair is about 140 bytes besides its two names.
+        let mut w = ChromeWriter::new(4096 + estimate_len(items, &names, 140, 2, 100));
+        w.out
+            .push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"exporter\":\"");
+        push_esc(&mut w.out, &self.name);
+        w.out.push_str("\",\"sessions\":");
+        push_u64(&mut w.out, self.r.sessions as u64);
+        w.out.push_str(",\"context_switches\":");
+        push_u64(&mut w.out, self.r.context_switches);
+        w.out.push_str("},\"traceEvents\":[");
 
         // Metadata: name every process and thread lane up front.
-        ev.push(meta_process(OVERLAY_PID, "capture timeline"));
-        ev.push(meta_thread(OVERLAY_PID, 0, "coverage"));
+        w.meta(OVERLAY_PID, None, |s| s.push_str("capture timeline"));
+        w.meta(OVERLAY_PID, Some(0), |s| s.push_str("coverage"));
         if !self.alerts.is_empty() {
-            ev.push(meta_thread(OVERLAY_PID, 1, "alerts"));
+            w.meta(OVERLAY_PID, Some(1), |s| s.push_str("alerts"));
         }
         let mut named_session = usize::MAX;
-        for &(session, lane) in lanes.keys() {
+        for lane in &lanes.lanes {
+            let session = lane.session;
             if session != named_session {
                 named_session = session;
-                let label = match self.run.and_then(|r| r.sessions.get(session)) {
-                    Some(s) => format!(
-                        "kernel session {session} (bank {}, {})",
-                        s.index,
-                        level_label(s.level)
-                    ),
-                    None => format!("kernel session {session}"),
-                };
-                ev.push(meta_process(session as u64 + 1, &label));
+                let bank = self.run.and_then(|r| r.sessions.get(session));
+                w.meta(session as u64 + 1, None, |s| {
+                    s.push_str("kernel session ");
+                    push_u64(s, session as u64);
+                    if let Some(b) = bank {
+                        s.push_str(" (bank ");
+                        push_u64(s, b.index);
+                        s.push_str(", ");
+                        s.push_str(level_label(b.level));
+                        s.push(')');
+                    }
+                });
             }
-            ev.push(meta_thread(
-                session as u64 + 1,
-                u64::from(lane) + 1,
-                &format!("control {lane}"),
-            ));
+            w.meta(session as u64 + 1, Some(u64::from(lane.lane) + 1), |s| {
+                s.push_str("control ");
+                push_u64(s, u64::from(lane.lane));
+            });
         }
         if !self.spans.is_empty() {
-            ev.push(meta_process(PIPELINE_PID, "capture pipeline"));
+            w.meta(PIPELINE_PID, None, |s| s.push_str("capture pipeline"));
             for track in [
                 SpanTrack::Supervisor,
                 SpanTrack::Transport,
@@ -220,61 +231,53 @@ impl<'a> Exporter<'a> {
                 SpanTrack::Board,
                 SpanTrack::Recorder,
             ] {
-                ev.push(meta_thread(
-                    PIPELINE_PID,
-                    u64::from(track.idx()) + 1,
-                    track.label(),
-                ));
+                w.meta(PIPELINE_PID, Some(u64::from(track.idx()) + 1), |s| {
+                    push_esc(s, track.label())
+                });
             }
         }
 
         // Kernel lanes.
-        for (&(session, lane), items) in &lanes {
-            let pid = session as u64 + 1;
-            let tid = u64::from(lane) + 1;
-            let off = self.session_offset(session, base);
-            for cev in lane_call_events(items) {
-                match cev {
-                    CallEv::Open {
-                        sym,
-                        t,
-                        net,
-                        elapsed,
-                    } => ev.push(format!(
-                        "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"{}\",\
-                         \"args\":{{\"net_us\":{net},\"elapsed_us\":{elapsed}}}}}",
-                        t + off,
-                        esc(self.r.syms.name(sym)),
-                    )),
-                    CallEv::Close { sym, t } => ev.push(format!(
-                        "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"{}\"}}",
-                        t + off,
-                        esc(self.r.syms.name(sym)),
-                    )),
-                    CallEv::Mark { sym, t } => ev.push(instant(
-                        pid,
-                        tid,
-                        t + off,
-                        &format!("== {}", self.r.syms.name(sym)),
-                    )),
-                    CallEv::OpenEnd { sym, t } => ev.push(instant(
-                        pid,
-                        tid,
-                        t + off,
-                        &format!("{} (open at capture end)", self.r.syms.name(sym)),
-                    )),
-                    CallEv::Switch { t, birth } => ev.push(instant(
-                        pid,
-                        tid,
-                        t + off,
-                        if birth {
-                            "switch in (new process)"
-                        } else {
-                            "switch in"
-                        },
-                    )),
+        for lane in &lanes.lanes {
+            let pid = lane.session as u64 + 1;
+            let tid = u64::from(lane.lane) + 1;
+            let off = self.session_offset(lane.session, base);
+            visit_lane(lanes.items(lane), |cev| match cev {
+                CallEv::Open {
+                    sym,
+                    t,
+                    net,
+                    elapsed,
+                } => {
+                    w.event("B", pid, Some(tid), t + off);
+                    w.name(&names[sym as usize]);
+                    w.out.push_str(",\"args\":{\"net_us\":");
+                    push_u64(&mut w.out, net);
+                    w.out.push_str(",\"elapsed_us\":");
+                    push_u64(&mut w.out, elapsed);
+                    w.out.push_str("}}");
                 }
-            }
+                CallEv::Close { sym, t } => {
+                    w.event("E", pid, Some(tid), t + off);
+                    w.name(&names[sym as usize]);
+                    w.out.push('}');
+                }
+                CallEv::Mark { sym, t } => w.instant(pid, tid, t + off, |s| {
+                    s.push_str("== ");
+                    s.push_str(&names[sym as usize]);
+                }),
+                CallEv::OpenEnd { sym, t } => w.instant(pid, tid, t + off, |s| {
+                    s.push_str(&names[sym as usize]);
+                    s.push_str(" (open at capture end)");
+                }),
+                CallEv::Switch { t, birth } => w.instant(pid, tid, t + off, |s| {
+                    s.push_str(if birth {
+                        "switch in (new process)"
+                    } else {
+                        "switch in"
+                    })
+                }),
+            });
         }
 
         // Coverage overlay: one slice plus one instant per dark window,
@@ -282,104 +285,104 @@ impl<'a> Exporter<'a> {
         if let Some(run) = self.run {
             for (i, gap) in run.gaps.iter().enumerate() {
                 let ts = gap.start_us.saturating_sub(base);
-                ev.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{OVERLAY_PID},\"tid\":0,\"ts\":{ts},\"dur\":{},\
-                     \"name\":\"dark ({})\",\"args\":{{\"gap\":{i},\"span_us\":{}}}}}",
-                    gap.span_us(),
-                    cause_label(gap.cause),
-                    gap.span_us(),
-                ));
-                ev.push(instant(
-                    OVERLAY_PID,
-                    0,
-                    ts,
-                    &format!("gap ({})", cause_label(gap.cause)),
-                ));
+                let cause = cause_label(gap.cause);
+                w.event("X", OVERLAY_PID, Some(0), ts);
+                w.out.push_str(",\"dur\":");
+                push_u64(&mut w.out, gap.span_us());
+                w.out.push_str(",\"name\":\"dark (");
+                w.out.push_str(cause);
+                w.out.push_str(")\",\"args\":{\"gap\":");
+                push_u64(&mut w.out, i as u64);
+                w.out.push_str(",\"span_us\":");
+                push_u64(&mut w.out, gap.span_us());
+                w.out.push_str("}}");
+                w.instant(OVERLAY_PID, 0, ts, |s| {
+                    s.push_str("gap (");
+                    s.push_str(cause);
+                    s.push(')');
+                });
             }
             let mut level: Option<TagMaskLevel> = None;
             for s in &run.sessions {
                 if level != Some(s.level) {
                     level = Some(s.level);
-                    ev.push(instant(
-                        OVERLAY_PID,
-                        0,
-                        s.start_us.saturating_sub(base),
-                        &format!("mask level = {}", level_label(s.level)),
-                    ));
+                    w.instant(OVERLAY_PID, 0, s.start_us.saturating_sub(base), |out| {
+                        out.push_str("mask level = ");
+                        out.push_str(level_label(s.level));
+                    });
                 }
             }
         }
 
         // Anomaly totals as a counter track (flat line start -> end).
         let a = &self.r.anomalies;
-        let counters = format!(
-            "{{\"orphan_exits\":{},\"unmatched_entries\":{},\"unknown_tags\":{},\
-             \"time_jumps\":{},\"duplicates\":{},\"truncations\":{}}}",
-            a.orphan_exits,
-            a.unmatched_entries,
-            a.unknown_tags,
-            a.time_jumps,
-            a.duplicates,
-            a.truncations,
-        );
-        for ts in [0, self.end_ts(base)] {
-            ev.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{OVERLAY_PID},\"tid\":0,\"ts\":{ts},\
-                 \"name\":\"anomalies\",\"args\":{counters}}}",
-            ));
+        for ts in [0, self.end_ts()] {
+            w.event("C", OVERLAY_PID, Some(0), ts);
+            w.out.push_str(",\"name\":\"anomalies\",\"args\":");
+            let mut sep = '{';
+            for (key, v) in [
+                ("orphan_exits", a.orphan_exits),
+                ("unmatched_entries", a.unmatched_entries),
+                ("unknown_tags", a.unknown_tags),
+                ("time_jumps", a.time_jumps),
+                ("duplicates", a.duplicates),
+                ("truncations", a.truncations),
+            ] {
+                w.out.push(sep);
+                sep = ',';
+                w.out.push('"');
+                w.out.push_str(key);
+                w.out.push_str("\":");
+                push_u64(&mut w.out, v);
+            }
+            w.out.push_str("}}");
         }
 
         // Sentinel alert transitions as instant markers on their own
-        // overlay lane, in journal order.
-        for a in &self.alerts {
-            ev.push(instant(
-                OVERLAY_PID,
-                1,
-                a.at_us.saturating_sub(base),
-                &format!(
-                    "{} {}({}) delta {:+} {}",
-                    a.transition.label(),
-                    a.detector.label(),
-                    esc(&a.subject),
-                    a.delta,
-                    a.detector.unit(),
-                ),
-            ));
+        // overlay lane, in journal order.  The subject is escaped twice,
+        // as it always has been: once into the label, once with it.
+        for a in self.alerts.iter() {
+            w.instant(OVERLAY_PID, 1, a.at_us.saturating_sub(base), |s| {
+                push_esc(s, a.transition.label());
+                s.push(' ');
+                push_esc(s, a.detector.label());
+                s.push('(');
+                push_esc(s, &esc(&a.subject));
+                s.push_str(") delta ");
+                s.push(if a.delta < 0 { '-' } else { '+' });
+                push_u64(s, a.delta.unsigned_abs());
+                s.push(' ');
+                push_esc(s, a.detector.unit());
+            });
         }
 
         // Pipeline lanes from the span journal: begin/end pairs render
         // as complete (`X`) slices, instants as instants.
         for span in self.paired_spans(base) {
-            let pid = PIPELINE_PID;
             let tid = u64::from(span.track.idx()) + 1;
             match span.dur {
-                Some(dur) => ev.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{dur},\
-                     \"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
-                    span.ts,
-                    esc(&span.name),
-                    span.id,
-                    span.arg,
-                )),
-                None => ev.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
-                     \"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
-                    span.ts,
-                    esc(&span.name),
-                    span.id,
-                    span.arg,
-                )),
+                Some(dur) => {
+                    w.event("X", PIPELINE_PID, Some(tid), span.ts);
+                    w.out.push_str(",\"dur\":");
+                    push_u64(&mut w.out, dur);
+                }
+                None => {
+                    w.event("i", PIPELINE_PID, Some(tid), span.ts);
+                    w.out.push_str(",\"s\":\"t\"");
+                }
             }
+            w.out.push_str(",\"name\":\"");
+            push_esc(&mut w.out, span.label);
+            push_esc(&mut w.out, span.suffix);
+            w.out.push_str("\",\"args\":{\"id\":");
+            push_u64(&mut w.out, span.id);
+            w.out.push_str(",\"arg\":");
+            push_u64(&mut w.out, span.arg);
+            w.out.push_str("}}");
         }
 
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"exporter\":\"{}\",\
-             \"sessions\":{},\"context_switches\":{}}},\"traceEvents\":[{}]}}",
-            esc(&self.name),
-            self.r.sessions,
-            self.r.context_switches,
-            ev.join(","),
-        )
+        w.out.push_str("]}");
+        w.out
     }
 
     /// Span-journal events with begin/end pairs joined and times
@@ -403,51 +406,47 @@ impl<'a> Exporter<'a> {
         };
         let mut open: BTreeMap<(SpanTrack, SpanName, u64), (u64, u64)> = BTreeMap::new();
         let mut out = Vec::new();
-        for ev in &self.spans {
+        for ev in self.spans.iter() {
             let ts = rebase(ev);
+            let span = |suffix, ts, dur| PairedSpan {
+                track: ev.track,
+                label: ev.name.label(),
+                suffix,
+                ts,
+                dur,
+                id: ev.id,
+                arg: ev.arg,
+            };
             match ev.phase {
                 SpanPhase::Begin => {
                     open.insert((ev.track, ev.name, ev.id), (ts, ev.arg));
                 }
                 SpanPhase::End => match open.remove(&(ev.track, ev.name, ev.id)) {
-                    Some((begin_ts, _)) => out.push(PairedSpan {
-                        track: ev.track,
-                        name: ev.name.label().to_string(),
-                        ts: begin_ts,
-                        dur: Some(ts.saturating_sub(begin_ts)),
-                        id: ev.id,
-                        arg: ev.arg,
-                    }),
-                    None => out.push(PairedSpan {
-                        track: ev.track,
-                        name: format!("{} (unmatched end)", ev.name.label()),
-                        ts,
-                        dur: None,
-                        id: ev.id,
-                        arg: ev.arg,
-                    }),
+                    Some((begin_ts, _)) => {
+                        out.push(span("", begin_ts, Some(ts.saturating_sub(begin_ts))))
+                    }
+                    None => out.push(span(" (unmatched end)", ts, None)),
                 },
-                SpanPhase::Instant => out.push(PairedSpan {
-                    track: ev.track,
-                    name: ev.name.label().to_string(),
-                    ts,
-                    dur: None,
-                    id: ev.id,
-                    arg: ev.arg,
-                }),
+                SpanPhase::Instant => out.push(span("", ts, None)),
             }
         }
         for ((track, name, id), (ts, arg)) in open {
             out.push(PairedSpan {
                 track,
-                name: format!("{} (open at capture end)", name.label()),
+                label: name.label(),
+                suffix: " (open at capture end)",
                 ts,
                 dur: None,
                 id,
                 arg,
             });
         }
-        out.sort_by(|a, b| (a.ts, a.track, &a.name, a.id).cmp(&(b.ts, b.track, &b.name, b.id)));
+        out.sort_by(|a, b| {
+            (a.ts, a.track)
+                .cmp(&(b.ts, b.track))
+                .then_with(|| a.name_bytes().cmp(b.name_bytes()))
+                .then(a.id.cmp(&b.id))
+        });
         out
     }
 
@@ -456,43 +455,83 @@ impl<'a> Exporter<'a> {
     /// speedscope JSON: one evented profile per thread of control.
     pub fn speedscope(&self) -> String {
         let base = self.base();
-        let frames: Vec<String> = (0..self.r.syms.len())
-            .map(|i| format!("{{\"name\":\"{}\"}}", esc(self.r.syms.name(i as SymId))))
-            .collect();
-        let mut profiles: Vec<String> = Vec::new();
-        for (&(session, lane), items) in &self.lanes() {
-            let off = self.session_offset(session, base);
-            let mut events: Vec<String> = Vec::new();
-            let mut first = None;
-            let mut last = 0u64;
-            for cev in lane_call_events(items) {
-                let (ty, sym, at) = match cev {
-                    CallEv::Open { sym, t, .. } => ("O", sym, t + off),
-                    CallEv::Close { sym, t } => ("C", sym, t + off),
-                    // Inline marks, unclosed frames and switch points
-                    // have no evented-profile representation.
-                    _ => continue,
-                };
-                first.get_or_insert(at);
-                last = last.max(at);
-                events.push(format!("{{\"type\":\"{ty}\",\"frame\":{sym},\"at\":{at}}}"));
+        let items = self.r.timeline();
+        let lanes = Lanes::new(items);
+        let names = self.escaped_names();
+        // An open/close pair is about 76 bytes; every frame is its name
+        // plus 12.
+        let frames: usize = names.iter().map(|n| n.len() + 12).sum();
+        let mut out = String::with_capacity(4096 + frames + estimate_len(items, &names, 76, 0, 0));
+        out.push_str(
+            "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\"name\":\"",
+        );
+        push_esc(&mut out, &self.name);
+        out.push_str(
+            "\",\"activeProfileIndex\":0,\"exporter\":\"hwprof\",\"shared\":{\"frames\":[",
+        );
+        for (i, name) in names.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            let Some(first) = first else { continue };
-            profiles.push(format!(
-                "{{\"type\":\"evented\",\"name\":\"session {session} control {lane}\",\
-                 \"unit\":\"microseconds\",\"startValue\":{first},\"endValue\":{last},\
-                 \"events\":[{}]}}",
-                events.join(","),
-            ));
+            out.push_str("{\"name\":\"");
+            out.push_str(name);
+            out.push_str("\"}");
         }
-        format!(
-            "{{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
-             \"name\":\"{}\",\"activeProfileIndex\":0,\"exporter\":\"hwprof\",\
-             \"shared\":{{\"frames\":[{}]}},\"profiles\":[{}]}}",
-            esc(&self.name),
-            frames.join(","),
-            profiles.join(","),
-        )
+        out.push_str("]},\"profiles\":[");
+        let mut first_profile = true;
+        for lane in &lanes.lanes {
+            let off = self.session_offset(lane.session, base);
+            // Inline marks, unclosed frames and switch points have no
+            // evented-profile representation; a lane with no completed
+            // call has no profile.
+            let evented = |cev| match cev {
+                CallEv::Open { sym, t, .. } => Some(('O', sym, t + off)),
+                CallEv::Close { sym, t } => Some(('C', sym, t + off)),
+                _ => None,
+            };
+            // The header carries the lane's first and last event time,
+            // so a first pass finds them before the events are written.
+            let mut span: Option<(u64, u64)> = None;
+            visit_lane(lanes.items(lane), |cev| {
+                if let Some((_, _, at)) = evented(cev) {
+                    span = Some(match span {
+                        None => (at, at),
+                        Some((first, last)) => (first, last.max(at)),
+                    });
+                }
+            });
+            let Some((first, last)) = span else { continue };
+            if !first_profile {
+                out.push(',');
+            }
+            first_profile = false;
+            out.push_str("{\"type\":\"evented\",\"name\":\"session ");
+            push_u64(&mut out, lane.session as u64);
+            out.push_str(" control ");
+            push_u64(&mut out, u64::from(lane.lane));
+            out.push_str("\",\"unit\":\"microseconds\",\"startValue\":");
+            push_u64(&mut out, first);
+            out.push_str(",\"endValue\":");
+            push_u64(&mut out, last);
+            out.push_str(",\"events\":[");
+            let mut sep = "";
+            visit_lane(lanes.items(lane), |cev| {
+                if let Some((ty, sym, at)) = evented(cev) {
+                    out.push_str(sep);
+                    sep = ",";
+                    out.push_str("{\"type\":\"");
+                    out.push(ty);
+                    out.push_str("\",\"frame\":");
+                    push_u64(&mut out, u64::from(sym));
+                    out.push_str(",\"at\":");
+                    push_u64(&mut out, at);
+                    out.push('}');
+                }
+            });
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+        out
     }
 
     // ---- folded stacks -------------------------------------------------
@@ -502,53 +541,187 @@ impl<'a> Exporter<'a> {
     /// are per-call net µs, so the column total equals the
     /// reconstruction's total net time exactly.
     pub fn folded(&self) -> String {
-        let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-        for items in self.lanes().values() {
-            let mut path: Vec<SymId> = Vec::new();
-            for cev in lane_call_events(items) {
-                match cev {
-                    CallEv::Open { sym, net, .. } => {
-                        path.push(sym);
-                        // Context-switch frames shape the path but have
-                        // no net time of their own in the accounting.
-                        if !self.r.syms.is_cswitch(sym) {
-                            let key = path
-                                .iter()
-                                .map(|&s| self.r.syms.name(s))
-                                .collect::<Vec<_>>()
-                                .join(";");
-                            *agg.entry(key).or_insert(0) += net;
-                        }
+        let syms = &self.r.syms;
+        let lanes = Lanes::new(self.r.timeline());
+        let mut arena = PathArena::default();
+        for lane in &lanes.lanes {
+            let mut path: Vec<u32> = Vec::new();
+            visit_lane(lanes.items(lane), |cev| match cev {
+                CallEv::Open { sym, net, .. } => {
+                    let node = arena.child(path.last().copied(), sym);
+                    path.push(node);
+                    // Context-switch frames shape the path but have no
+                    // net time of their own in the accounting.
+                    if !syms.is_cswitch(sym) {
+                        arena.add(node, net);
                     }
-                    CallEv::Close { .. } => {
-                        path.pop();
-                    }
-                    _ => {}
                 }
-            }
+                CallEv::Close { .. } => {
+                    path.pop();
+                }
+                _ => {}
+            });
         }
-        let mut out = String::new();
-        for (path, net) in agg {
+        // Each weighted path is spelled out once, then sorted by its
+        // text.  Distinct symbol paths can spell the same text (a name
+        // holding `;`, or two symbols sharing a name); they merge into
+        // one line, as they would keyed by text from the start.
+        let mut rows = arena.rows(|sym| syms.name(sym));
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut out = String::with_capacity(rows.iter().map(|(p, _)| p.len() + 22).sum());
+        let mut rows = rows.into_iter().peekable();
+        while let Some((path, mut net)) = rows.next() {
+            while let Some((_, more)) = rows.next_if(|(next, _)| *next == path) {
+                net += more;
+            }
             out.push_str(&path);
             out.push(' ');
-            out.push_str(&net.to_string());
+            push_u64(&mut out, net);
             out.push('\n');
         }
         out
     }
 }
 
-/// One pipeline slice or point ready for the Chrome writer.
+/// The total order the span journal renders in.  Concurrent writers
+/// (analysis workers) make the journal's slot order nondeterministic;
+/// a total order on the event value itself makes every export
+/// deterministic.
+pub(crate) fn sort_spans(events: &mut [SpanEvent]) {
+    events.sort_by_key(|e| (e.t_us, e.track, e.name, e.id, e.phase, e.arg));
+}
+
+/// A buffer size just above a timeline document's final length, so the
+/// one buffer is allocated once and never regrown (a regrow copies
+/// megabytes and can leave as much again unused).  A completed call
+/// costs `per_call` bytes plus `call_names` copies of its escaped name;
+/// any other rendered item (an unclosed call, a mark, a switch)
+/// `per_other` bytes plus its name.  The per-item figures sit a few
+/// bytes above the real ones at 7-digit timestamps.
+fn estimate_len(
+    items: &[TraceItem],
+    names: &[Cow<'_, str>],
+    per_call: usize,
+    call_names: usize,
+    per_other: usize,
+) -> usize {
+    let name = |sym: SymId| names[sym as usize].len();
+    items
+        .iter()
+        .map(|item| match item.kind {
+            ItemKind::Call {
+                sym, closed: true, ..
+            } => per_call + call_names * name(sym),
+            ItemKind::Call { sym, .. } | ItemKind::Inline { sym } => per_other + name(sym),
+            ItemKind::SwitchIn { .. } => per_other,
+            ItemKind::Return { .. } | ItemKind::SessionBreak => 0,
+        })
+        .sum()
+}
+
+/// One pipeline slice or point ready for the Chrome writer; its name
+/// is `label` followed by `suffix`.
 struct PairedSpan {
     track: SpanTrack,
-    name: String,
+    label: &'static str,
+    suffix: &'static str,
     ts: u64,
     dur: Option<u64>,
     id: u64,
     arg: u64,
 }
 
+impl PairedSpan {
+    /// The name's bytes, compared as one string.
+    fn name_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        self.label.bytes().chain(self.suffix.bytes())
+    }
+}
+
+/// Trace items grouped per (session, lane) in deterministic order.
+struct Lanes<'a> {
+    items: &'a [TraceItem],
+    /// Indices into `items`: each lane's items in timeline order, the
+    /// lanes one after another.
+    order: Vec<usize>,
+    lanes: Vec<Lane>,
+}
+
+/// One thread of control of one session.
+struct Lane {
+    session: usize,
+    lane: u32,
+    /// The lane's run of [`Lanes::order`].
+    run: Range<usize>,
+}
+
+impl<'a> Lanes<'a> {
+    /// Groups `items` by a counting sort.  Lanes are numbered densely
+    /// per session, so (session, lane) maps to slot
+    /// `first slot of the session + lane`; lanes without items get no
+    /// group.
+    fn new(items: &'a [TraceItem]) -> Self {
+        let mut session_slots = vec![0usize];
+        let mut counts: Vec<usize> = Vec::new();
+        for item in items {
+            if matches!(item.kind, ItemKind::SessionBreak) {
+                session_slots.push(counts.len());
+                continue;
+            }
+            let first = *session_slots.last().expect("non-empty");
+            let slot = first + item.lane as usize;
+            if counts.len() <= slot {
+                counts.resize(slot + 1, 0);
+            }
+            counts[slot] += 1;
+        }
+        let mut lanes = Vec::new();
+        let mut starts = Vec::with_capacity(counts.len());
+        let mut at = 0usize;
+        for (session, &first) in session_slots.iter().enumerate() {
+            let end = session_slots
+                .get(session + 1)
+                .copied()
+                .unwrap_or(counts.len());
+            for (lane, &count) in counts[first..end].iter().enumerate() {
+                starts.push(at);
+                if count > 0 {
+                    lanes.push(Lane {
+                        session,
+                        lane: lane as u32,
+                        run: at..at + count,
+                    });
+                    at += count;
+                }
+            }
+        }
+        let mut order = vec![0usize; at];
+        let mut session = 0usize;
+        for (i, item) in items.iter().enumerate() {
+            if matches!(item.kind, ItemKind::SessionBreak) {
+                session += 1;
+                continue;
+            }
+            let first = session_slots[session];
+            let slot = first + item.lane as usize;
+            order[starts[slot]] = i;
+            starts[slot] += 1;
+        }
+        Lanes {
+            items,
+            order,
+            lanes,
+        }
+    }
+
+    /// One lane's items, in timeline order.
+    fn items(&self, lane: &Lane) -> impl Iterator<Item = &'a TraceItem> + '_ {
+        self.order[lane.run.clone()].iter().map(|&i| &self.items[i])
+    }
+}
+
 /// Balanced per-lane call stream derived from trace items.
+#[derive(Clone, Copy)]
 enum CallEv {
     /// A completed call opens (its net/elapsed are known).
     Open {
@@ -567,14 +740,14 @@ enum CallEv {
     Switch { t: u64, birth: bool },
 }
 
-/// Replays one lane's trace items into a balanced open/close stream.
+/// Replays one lane's trace items as a balanced open/close stream,
+/// handing each event to `f` in order.
 ///
 /// Only *closed* calls open spans (their end time is `t + elapsed`);
 /// a span is closed as soon as a later call at the same-or-shallower
 /// depth proves the frame ended, or at lane end.  Closes pop deepest
 /// first, so spans nest properly and times never run backwards.
-fn lane_call_events(items: &[&TraceItem]) -> Vec<CallEv> {
-    let mut out = Vec::new();
+fn visit_lane<'i>(items: impl Iterator<Item = &'i TraceItem>, mut f: impl FnMut(CallEv)) {
     // (sym, end time, depth) of every call still open.
     let mut stack: Vec<(SymId, u64, usize)> = Vec::new();
     for item in items {
@@ -588,10 +761,10 @@ fn lane_call_events(items: &[&TraceItem]) -> Vec<CallEv> {
             } => {
                 while stack.last().is_some_and(|&(_, _, d)| d >= item.depth) {
                     let (s, end, _) = stack.pop().expect("guarded");
-                    out.push(CallEv::Close { sym: s, t: end });
+                    f(CallEv::Close { sym: s, t: end });
                 }
                 if closed {
-                    out.push(CallEv::Open {
+                    f(CallEv::Open {
                         sym,
                         t: item.t,
                         net,
@@ -599,42 +772,166 @@ fn lane_call_events(items: &[&TraceItem]) -> Vec<CallEv> {
                     });
                     stack.push((sym, item.t + elapsed, item.depth));
                 } else {
-                    out.push(CallEv::OpenEnd { sym, t: item.t });
+                    f(CallEv::OpenEnd { sym, t: item.t });
                 }
             }
-            ItemKind::Inline { sym } => out.push(CallEv::Mark { sym, t: item.t }),
-            ItemKind::SwitchIn { birth } => out.push(CallEv::Switch { t: item.t, birth }),
+            ItemKind::Inline { sym } => f(CallEv::Mark { sym, t: item.t }),
+            ItemKind::SwitchIn { birth } => f(CallEv::Switch { t: item.t, birth }),
             ItemKind::Return { .. } | ItemKind::SessionBreak => {}
         }
     }
     while let Some((s, end, _)) = stack.pop() {
-        out.push(CallEv::Close { sym: s, t: end });
+        f(CallEv::Close { sym: s, t: end });
     }
-    out
 }
 
-fn meta_process(pid: u64, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        esc(name)
-    )
+/// Call-path arena behind [`Exporter::folded`]: one node per distinct
+/// (parent node, symbol), carrying the net µs of every call made on
+/// that path.
+#[derive(Default)]
+struct PathArena {
+    nodes: Vec<PathNode>,
+    index: HashMap<(Option<u32>, SymId), u32>,
 }
 
-fn meta_thread(pid: u64, tid: u64, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        esc(name)
-    )
+struct PathNode {
+    parent: Option<u32>,
+    sym: SymId,
+    net: u64,
+    /// A non-switch call landed here, so the path gets a line (even
+    /// one of weight 0).
+    weighted: bool,
 }
 
-fn instant(pid: u64, tid: u64, ts: u64, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\
-         \"name\":\"{}\"}}",
-        esc(name)
-    )
+impl PathArena {
+    /// The node for `sym` called under `parent` (`None` = lane root).
+    fn child(&mut self, parent: Option<u32>, sym: SymId) -> u32 {
+        let nodes = &mut self.nodes;
+        *self.index.entry((parent, sym)).or_insert_with(|| {
+            nodes.push(PathNode {
+                parent,
+                sym,
+                net: 0,
+                weighted: false,
+            });
+            (nodes.len() - 1) as u32
+        })
+    }
+
+    fn add(&mut self, node: u32, net: u64) {
+        let n = &mut self.nodes[node as usize];
+        n.net += net;
+        n.weighted = true;
+    }
+
+    /// `(a;b;c, net)` for every weighted node, unsorted.
+    fn rows<'n>(&self, name: impl Fn(SymId) -> &'n str) -> Vec<(String, u64)> {
+        let mut syms = Vec::new();
+        self.nodes
+            .iter()
+            .filter(|n| n.weighted)
+            .map(|n| {
+                syms.clear();
+                syms.push(n.sym);
+                let mut up = n.parent;
+                while let Some(p) = up {
+                    let p = &self.nodes[p as usize];
+                    syms.push(p.sym);
+                    up = p.parent;
+                }
+                let mut path = String::new();
+                for (i, &s) in syms.iter().rev().enumerate() {
+                    if i > 0 {
+                        path.push(';');
+                    }
+                    path.push_str(name(s));
+                }
+                (path, n.net)
+            })
+            .collect()
+    }
+}
+
+/// A Chrome `traceEvents` array under construction in one buffer.
+struct ChromeWriter {
+    out: String,
+    /// No event written yet (the next one needs no separator).
+    first: bool,
+}
+
+impl ChromeWriter {
+    fn new(capacity: usize) -> Self {
+        ChromeWriter {
+            out: String::with_capacity(capacity),
+            first: true,
+        }
+    }
+
+    /// Opens the next event object up to its timestamp:
+    /// `{"ph":..,"pid":..[,"tid":..],"ts":..`.
+    fn event(&mut self, ph: &str, pid: u64, tid: Option<u64>, ts: u64) {
+        self.head(ph, pid, tid);
+        self.out.push_str(",\"ts\":");
+        push_u64(&mut self.out, ts);
+    }
+
+    fn head(&mut self, ph: &str, pid: u64, tid: Option<u64>) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out.push_str("{\"ph\":\"");
+        self.out.push_str(ph);
+        self.out.push_str("\",\"pid\":");
+        push_u64(&mut self.out, pid);
+        if let Some(tid) = tid {
+            self.out.push_str(",\"tid\":");
+            push_u64(&mut self.out, tid);
+        }
+    }
+
+    /// `,"name":"<escaped>"`.
+    fn name(&mut self, escaped: &str) {
+        self.out.push_str(",\"name\":\"");
+        self.out.push_str(escaped);
+        self.out.push('"');
+    }
+
+    /// A process (`tid` = `None`) or thread name record; `name` writes
+    /// the already-escaped name.
+    fn meta(&mut self, pid: u64, tid: Option<u64>, name: impl FnOnce(&mut String)) {
+        self.head("M", pid, tid);
+        self.out.push_str(if tid.is_some() {
+            ",\"name\":\"thread_name\",\"args\":{\"name\":\""
+        } else {
+            ",\"name\":\"process_name\",\"args\":{\"name\":\""
+        });
+        name(&mut self.out);
+        self.out.push_str("\"}}");
+    }
+
+    /// A thread-scoped instant; `name` writes the already-escaped name.
+    fn instant(&mut self, pid: u64, tid: u64, ts: u64, name: impl FnOnce(&mut String)) {
+        self.event("i", pid, Some(tid), ts);
+        self.out.push_str(",\"s\":\"t\",\"name\":\"");
+        name(&mut self.out);
+        self.out.push_str("\"}");
+    }
+}
+
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 fn level_label(level: TagMaskLevel) -> &'static str {
@@ -653,21 +950,44 @@ fn cause_label(cause: GapCause) -> &'static str {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` escaped for inclusion in a JSON string literal.
+fn push_esc(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every byte matched above is ASCII, so `i` is a char boundary.
+        out.push_str(&s[clean..i]);
+        if escaped.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escaped);
         }
+        clean = i + 1;
     }
-    out
+    out.push_str(&s[clean..]);
+}
+
+/// `s` escaped for inclusion in a JSON string literal, borrowed when
+/// nothing needs escaping.
+fn esc(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        let mut out = String::with_capacity(s.len() + 8);
+        push_esc(&mut out, s);
+        Cow::Owned(out)
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 // ---- minimal JSON reader (for gates and property tests) ----------------
@@ -716,13 +1036,20 @@ impl JsonValue {
     }
 }
 
-/// Parses `s` as one JSON document, rejecting trailing garbage.  This
-/// is the schema floor every exported JSON must clear; the repro gate
-/// and property tests run all output through it.
+/// Deepest array/object nesting [`validate_json`] accepts.  The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// document overflow the stack; every document this workspace writes
+/// nests fewer than ten levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses `s` as one JSON document, rejecting trailing garbage and
+/// nesting deeper than [`MAX_JSON_DEPTH`].  This is the schema floor
+/// every exported JSON must clear; the repro gate and property tests
+/// run all output through it.
 pub fn validate_json(s: &str) -> Result<JsonValue, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -750,11 +1077,18 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value; `depth` counts the arrays and objects around it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -816,13 +1150,27 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        let unit = hex4(b, *pos + 1)
                             .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                         *pos += 4;
+                        // A high surrogate followed directly by an escaped
+                        // low surrogate is one UTF-16 pair; any other
+                        // surrogate stands alone and decodes to U+FFFD.
+                        let c = match unit {
+                            0xd800..=0xdbff if b.get(*pos + 1..*pos + 3) == Some(b"\\u") => {
+                                match hex4(b, *pos + 3) {
+                                    Some(low @ 0xdc00..=0xdfff) => {
+                                        *pos += 6;
+                                        char::from_u32(
+                                            0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00),
+                                        )
+                                    }
+                                    _ => None,
+                                }
+                            }
+                            _ => char::from_u32(unit),
+                        };
+                        out.push(c.unwrap_or('\u{fffd}'));
                     }
                     other => {
                         return Err(format!(
@@ -846,7 +1194,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// The four hex digits at `at`, as a UTF-16 code unit.
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    let h = b.get(at..at + 4)?;
+    if !h.iter().all(u8::is_ascii_hexdigit) {
+        return None;
+    }
+    u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
+}
+
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -855,7 +1212,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -874,7 +1231,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -887,7 +1244,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         out.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -1052,6 +1409,49 @@ mod tests {
         assert!(validate_json("{\"a\":1} extra").is_err());
         assert!(validate_json("[1,2").is_err());
         assert!(validate_json("").is_err());
+    }
+
+    #[test]
+    fn validator_rejects_deep_nesting_without_recursing_away() {
+        let deep = "[".repeat(100_000);
+        let err = validate_json(&deep).expect_err("100,000 levels must fail");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(validate_json(&objects).is_err());
+        // Exactly the cap still parses; one more level does not.
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(validate_json(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(validate_json(&over).is_err());
+    }
+
+    #[test]
+    fn validator_decodes_surrogate_pairs() {
+        let s = |json: &str| {
+            validate_json(json)
+                .expect("valid")
+                .as_str()
+                .map(str::to_string)
+        };
+        assert_eq!(s(r#""\ud83d\ude00""#).as_deref(), Some("\u{1f600}"));
+        assert_eq!(s(r#""a\uD834\uDD1Eb""#).as_deref(), Some("a\u{1d11e}b"));
+        // Lone surrogates, either half, stay U+FFFD and consume nothing
+        // after them.
+        assert_eq!(s(r#""\ud83dx""#).as_deref(), Some("\u{fffd}x"));
+        assert_eq!(s(r#""\ude00""#).as_deref(), Some("\u{fffd}"));
+        assert_eq!(s(r#""\ud83d\u0041""#).as_deref(), Some("\u{fffd}A"));
+        assert_eq!(
+            s(r#""\ud83d\ud83d\ude00""#).as_deref(),
+            Some("\u{fffd}\u{1f600}")
+        );
+        assert_eq!(s(r#""\ud83d\n""#).as_deref(), Some("\u{fffd}\n"));
+        // Only hex digits make an escape.
+        assert!(validate_json(r#""\u+041""#).is_err());
+        assert!(validate_json(r#""\ud83d\u""#).is_err());
     }
 
     #[test]

@@ -23,11 +23,13 @@
 //! self-contained, byte-deterministic HTML report with no external
 //! assets and no new dependencies.
 
+use std::borrow::Cow;
+
 use hwprof_profiler::SupervisedRun;
 use hwprof_telemetry::{SpanEvent, SpanLog};
 
 use crate::events::SymId;
-use crate::export::Exporter;
+use crate::export::{sort_spans, Exporter};
 use crate::recon::Reconstruction;
 use crate::report::{fmt_us, summary_report};
 use crate::sentinel::AlertEntry;
@@ -73,7 +75,10 @@ impl<'a> Profile<'a> {
     }
 
     /// Like [`Profile::spans`], from an already-snapshotted event list.
-    pub fn span_events(mut self, events: Vec<SpanEvent>) -> Self {
+    /// The journal is put in render order here, once, so every render
+    /// borrows it as it is.
+    pub fn span_events(mut self, mut events: Vec<SpanEvent>) -> Self {
+        sort_spans(&mut events);
         self.spans = events;
         self
     }
@@ -98,25 +103,37 @@ impl<'a> Profile<'a> {
         Exporter::assemble(
             self.r,
             self.run,
-            self.spans.clone(),
-            self.alerts.clone(),
+            Cow::Owned(self.spans.clone()),
+            Cow::Owned(self.alerts.clone()),
+            &self.name,
+        )
+    }
+
+    /// An exporter borrowing this view's journal and alerts: what the
+    /// renderers below run on, with nothing copied.
+    fn view(&self) -> Exporter<'_> {
+        Exporter::assemble(
+            self.r,
+            self.run,
+            Cow::Borrowed(&self.spans),
+            Cow::Borrowed(&self.alerts),
             &self.name,
         )
     }
 
     /// Chrome Trace Event JSON (Perfetto / `chrome://tracing`).
     pub fn chrome_trace(&self) -> String {
-        self.exporter().chrome_trace()
+        self.view().chrome_trace()
     }
 
     /// speedscope JSON.
     pub fn speedscope(&self) -> String {
-        self.exporter().speedscope()
+        self.view().speedscope()
     }
 
     /// Folded flamegraph stacks.
     pub fn folded(&self) -> String {
-        self.exporter().folded()
+        self.view().folded()
     }
 
     /// The paper's Figure-3 per-function summary (`top` caps the body

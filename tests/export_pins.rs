@@ -116,7 +116,7 @@ fn alert(seq: u64, detector: Detector, subject: &str, transition: AlertTransitio
         transition,
         baseline: 400,
         observed: 400 + 75 * seq,
-        delta: if seq % 2 == 0 { -75 } else { 75 } * seq as i64,
+        delta: if seq.is_multiple_of(2) { -75 } else { 75 } * seq as i64,
     }
 }
 
@@ -143,9 +143,24 @@ fn supervised_chrome_trace_with_journal_and_alerts_is_pinned() {
         91,
     ));
     let alerts = [
-        alert(1, Detector::RateShift, "tcp_input", AlertTransition::Pending),
-        alert(2, Detector::RateShift, "tcp_\"in\"\\put", AlertTransition::Firing),
-        alert(3, Detector::CoverageDrop, "coverage", AlertTransition::Resolved),
+        alert(
+            1,
+            Detector::RateShift,
+            "tcp_input",
+            AlertTransition::Pending,
+        ),
+        alert(
+            2,
+            Detector::RateShift,
+            "tcp_\"in\"\\put",
+            AlertTransition::Firing,
+        ),
+        alert(
+            3,
+            Detector::CoverageDrop,
+            "coverage",
+            AlertTransition::Resolved,
+        ),
     ];
     let chrome = Profile::new(&cap.profile)
         .name("supervised pin")
@@ -155,7 +170,10 @@ fn supervised_chrome_trace_with_journal_and_alerts_is_pinned() {
         .chrome_trace();
     validate_json(&chrome).expect("valid JSON");
 
-    assert!(cap.coverage().gaps >= 1, "the run must go dark at least once");
+    assert!(
+        cap.coverage().gaps >= 1,
+        "the run must go dark at least once"
+    );
     for needle in [
         "\"name\":\"dark (",
         "\"name\":\"gap (",
@@ -170,7 +188,12 @@ fn supervised_chrome_trace_with_journal_and_alerts_is_pinned() {
     ] {
         assert!(chrome.contains(needle), "missing {needle}");
     }
-    check_digests(&[("supervised chrome trace", &chrome, 151_702, 0x1490_9852_3567_8599)]);
+    check_digests(&[(
+        "supervised chrome trace",
+        &chrome,
+        151_702,
+        0x1490_9852_3567_8599,
+    )]);
 }
 
 // ---- multi-session, multi-lane whole-run capture -----------------------
@@ -214,9 +237,24 @@ fn mixed_whole_run_exports_are_pinned() {
         assert!(chrome.contains(needle), "missing {needle}");
     }
     check_digests(&[
-        ("mixed chrome trace", &chrome, 907_244, 0x74ae_6033_cd90_53b9),
-        ("mixed speedscope", &speedscope, 429_327, 0x1dc9_de1f_3f15_1af5),
-        ("mixed folded stacks", &folded, 20_140, 0x8f52_fb0f_f73c_718e),
+        (
+            "mixed chrome trace",
+            &chrome,
+            907_244,
+            0x74ae_6033_cd90_53b9,
+        ),
+        (
+            "mixed speedscope",
+            &speedscope,
+            429_327,
+            0x1dc9_de1f_3f15_1af5,
+        ),
+        (
+            "mixed folded stacks",
+            &folded,
+            20_140,
+            0x8f52_fb0f_f73c_718e,
+        ),
     ]);
 }
 
@@ -229,7 +267,9 @@ fn escaping() -> Reconstruction {
     let mut tf = TagFile::new(600);
     let quote = tf.assign("say \"hi\"", TagKind::Function).expect("fresh");
     let slash = tf.assign("back\\slash", TagKind::Function).expect("fresh");
-    let tab = tf.assign("tab\there\u{1}", TagKind::Function).expect("fresh");
+    let tab = tf
+        .assign("tab\there\u{1}", TagKind::Function)
+        .expect("fresh");
     let utf = tf.assign("naïve_π_🦀", TagKind::Function).expect("fresh");
     let swtch = tf.assign("swtch", TagKind::ContextSwitch).expect("fresh");
     let mark = tf.assign("mark \"§\"", TagKind::Inline).expect("fresh");
