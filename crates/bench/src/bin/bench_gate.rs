@@ -24,7 +24,10 @@
 //! HWPROF_BENCH_QUICK=1 HWPROF_BENCH_JSON=. \
 //!     cargo bench -p hwprof-bench --bench analysis_throughput \
 //!                                 --bench capture_path \
-//!                                 --bench fleet
+//!                                 --bench fleet \
+//!                                 --bench recorder \
+//!                                 --bench sentinel \
+//!                                 --bench render
 //! ```
 
 use hwprof_bench::gate::{compare, merge_best, threshold_pct, BenchDoc};
@@ -39,6 +42,7 @@ const GATED_BENCHES: &[&str] = &[
     "fleet",
     "recorder",
     "sentinel",
+    "render",
 ];
 
 /// Machine-independent within-run ratios that must hold in the fresh
