@@ -721,7 +721,6 @@ impl<'a> Lanes<'a> {
 }
 
 /// Balanced per-lane call stream derived from trace items.
-#[derive(Clone, Copy)]
 enum CallEv {
     /// A completed call opens (its net/elapsed are known).
     Open {
@@ -814,7 +813,7 @@ impl PathArena {
                 net: 0,
                 weighted: false,
             });
-            (nodes.len() - 1) as u32
+            u32::try_from(nodes.len() - 1).expect("fewer than 2^32 call paths")
         })
     }
 
