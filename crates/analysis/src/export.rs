@@ -182,8 +182,15 @@ impl<'a> Exporter<'a> {
         let items = self.r.timeline();
         let lanes = Lanes::new(items);
         let names = self.escaped_names();
-        // A begin/end pair is about 140 bytes besides its two names.
-        let mut w = ChromeWriter::new(4096 + estimate_len(items, &names, 140, 2, 100));
+        // A begin/end pair is about 140 bytes besides its two names;
+        // the metadata and overlay records are 100-200 bytes each.
+        let overlay = lanes.lanes.len() * 200
+            + self.spans.len() * 110
+            + self.alerts.len() * 160
+            + self
+                .run
+                .map_or(0, |r| r.gaps.len() * 200 + r.sessions.len() * 100);
+        let mut w = ChromeWriter::new(4096 + overlay + estimate_len(items, &names, 140, 2, 100));
         w.out
             .push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"exporter\":\"");
         push_esc(&mut w.out, &self.name);
